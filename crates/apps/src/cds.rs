@@ -48,9 +48,9 @@ pub struct CdsResult {
 pub fn approx_mwcds(
     g: &Graph,
     node_weight: &[u64],
-    config: &rmo_core::PaConfig,
+    config: &EngineConfig,
 ) -> Result<CdsResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+    let mut engine = PaEngine::new(g, *config);
     approx_mwcds_with_engine(&mut engine, node_weight)
 }
 
@@ -248,11 +248,10 @@ pub fn is_connected_dominating_set(g: &Graph, set: &[NodeId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmo_core::PaConfig;
     use rmo_graph::gen;
 
     fn check(g: &Graph, weights: &[u64]) -> CdsResult {
-        let res = approx_mwcds(g, weights, &PaConfig::default()).unwrap();
+        let res = approx_mwcds(g, weights, &EngineConfig::new()).unwrap();
         assert!(
             is_connected_dominating_set(g, &res.set),
             "output must be a CDS"

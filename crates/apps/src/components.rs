@@ -12,7 +12,7 @@
 use rmo_congest::CostReport;
 use rmo_graph::{DisjointSets, EdgeId, Graph, Partition};
 
-use rmo_core::{Aggregate, EngineConfig, PaConfig, PaEngine, PaError};
+use rmo_core::{Aggregate, EngineConfig, PaEngine, PaError};
 
 /// Component labels plus the measured PA cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,9 +38,9 @@ pub struct ComponentLabels {
 pub fn component_labels(
     g: &Graph,
     h_edges: &[EdgeId],
-    config: &PaConfig,
+    config: &EngineConfig,
 ) -> Result<ComponentLabels, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+    let mut engine = PaEngine::new(g, *config);
     component_labels_with_engine(&mut engine, h_edges)
 }
 
@@ -103,7 +103,7 @@ mod tests {
             .filter(|&(_, u, v, _)| u / 5 == v / 5)
             .map(|(e, _, _, _)| e)
             .collect();
-        let out = component_labels(&g, &h, &PaConfig::default()).unwrap();
+        let out = component_labels(&g, &h, &EngineConfig::new()).unwrap();
         assert_eq!(out.num_components, 5);
         for u in 0..25 {
             for v in 0..25 {
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn empty_h_gives_singletons() {
         let g = gen::cycle(7);
-        let out = component_labels(&g, &[], &PaConfig::default()).unwrap();
+        let out = component_labels(&g, &[], &EngineConfig::new()).unwrap();
         assert_eq!(out.num_components, 7);
         for v in 0..7 {
             assert_eq!(out.labels[v], v as u64, "own id is the only candidate");
@@ -130,7 +130,7 @@ mod tests {
     fn full_h_gives_one_component() {
         let g = gen::grid(4, 4);
         let all: Vec<EdgeId> = (0..g.m()).collect();
-        let out = component_labels(&g, &all, &PaConfig::default()).unwrap();
+        let out = component_labels(&g, &all, &EngineConfig::new()).unwrap();
         assert_eq!(out.num_components, 1);
         assert!(out.labels.iter().all(|&l| l == 0));
     }
@@ -140,7 +140,7 @@ mod tests {
         let g = gen::path(9);
         // H = two segments: edges 0..3 (nodes 0..4) and 5..7 (nodes 5..8).
         let h: Vec<EdgeId> = vec![0, 1, 2, 3, 5, 6, 7];
-        let out = component_labels(&g, &h, &PaConfig::default()).unwrap();
+        let out = component_labels(&g, &h, &EngineConfig::new()).unwrap();
         for v in 0..5 {
             assert_eq!(out.labels[v], 0);
         }

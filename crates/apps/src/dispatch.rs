@@ -255,7 +255,10 @@ impl fmt::Display for FailReason {
                 write!(f, "k-dominating set needs a positive radius k (got 0)")
             }
             FailReason::EccentricityZeroSlack => {
-                write!(f, "eccentricity estimation needs a positive slack k (got 0)")
+                write!(
+                    f,
+                    "eccentricity estimation needs a positive slack k (got 0)"
+                )
             }
             FailReason::UnregisteredGraph { id } => {
                 write!(f, "graph g{id} is not registered with this cluster")
@@ -370,7 +373,7 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
                 });
             }
             let config = SsspConfig {
-                pa: engine.config().pa(),
+                pa: engine.config(),
                 seed: engine.config().seed,
                 ..SsspConfig::default()
             };
@@ -392,7 +395,7 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
                 });
             }
             let config = MinCutConfig {
-                pa: engine.config().pa(),
+                pa: engine.config(),
                 seed: engine.config().seed,
                 trials: Some(*trials),
                 ..MinCutConfig::default()
@@ -520,12 +523,13 @@ mod tests {
         // Out-of-range node and edge ids fail instead of panicking in a
         // shard worker.
         let bad = run_query(&mut engine, &Query::Sssp { source: 8 });
-        assert!(
-            matches!(&bad, QueryResponse::Failed(m) if m.to_string().contains("out of range"))
-        );
+        assert!(matches!(&bad, QueryResponse::Failed(m) if m.to_string().contains("out of range")));
         assert!(matches!(
             &bad,
-            QueryResponse::Failed(FailReason::SsspSourceOutOfRange { source: 8, nodes: 8 })
+            QueryResponse::Failed(FailReason::SsspSourceOutOfRange {
+                source: 8,
+                nodes: 8
+            })
         ));
         let bad = run_query(
             &mut engine,
@@ -594,7 +598,10 @@ mod tests {
                 "graph must be connected",
             ),
             (
-                FailReason::SsspSourceOutOfRange { source: 8, nodes: 8 },
+                FailReason::SsspSourceOutOfRange {
+                    source: 8,
+                    nodes: 8,
+                },
                 "sssp source 8 out of range (graph has 8 nodes)",
             ),
             (

@@ -22,7 +22,7 @@ use rmo_congest::CostReport;
 use rmo_graph::{bfs_tree, num::ceil_log2, Graph, NodeId};
 
 use crate::mst::pa_mst_with_engine;
-use rmo_core::{EngineConfig, PaConfig, PaEngine, PaError};
+use rmo_core::{EngineConfig, PaEngine, PaError};
 
 /// Configuration for the approximate min-cut.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +30,7 @@ pub struct MinCutConfig {
     /// Approximation slack `ε > 0`.
     pub epsilon: f64,
     /// PA configuration for the inner MST runs.
-    pub pa: PaConfig,
+    pub pa: EngineConfig,
     /// Seed for the random perturbations.
     pub seed: u64,
     /// Override the number of sampled trees (`None` = the
@@ -42,7 +42,7 @@ impl Default for MinCutConfig {
     fn default() -> MinCutConfig {
         MinCutConfig {
             epsilon: 0.2,
-            pa: PaConfig::default(),
+            pa: EngineConfig::new(),
             seed: 1,
             trials: None,
         }
@@ -72,7 +72,7 @@ pub struct MinCutResult {
 /// Panics if `ε ≤ 0`, the graph has fewer than 2 nodes, or is
 /// disconnected.
 pub fn approx_min_cut(g: &Graph, config: &MinCutConfig) -> Result<MinCutResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(config.pa));
+    let mut engine = PaEngine::new(g, config.pa);
     approx_min_cut_with_engine(&mut engine, config)
 }
 

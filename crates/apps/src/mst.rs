@@ -19,13 +19,13 @@ use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::{CostReport, Network};
 use rmo_graph::{num::ceil_log2, DisjointSets, EdgeId, Graph};
 
-use rmo_core::{Aggregate, EngineConfig, PaConfig, PaEngine, PaError, PaInstance};
+use rmo_core::{Aggregate, EngineConfig, PaEngine, PaError, PaInstance};
 
 /// Configuration of the PA-based MST.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MstConfig {
     /// PA pipeline configuration used in every Borůvka phase.
-    pub pa: PaConfig,
+    pub pa: EngineConfig,
 }
 
 /// Result of [`pa_mst`].
@@ -63,7 +63,7 @@ fn unpack_edge(key: u64) -> EdgeId {
 /// # Panics
 /// Panics if `g` is disconnected or empty, or weights exceed `2^40`.
 pub fn pa_mst(g: &Graph, config: &MstConfig) -> Result<PaMstResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(config.pa));
+    let mut engine = PaEngine::new(g, config.pa);
     pa_mst_with_engine(&mut engine)
 }
 
@@ -273,7 +273,7 @@ mod tests {
     fn randomized_pipeline_matches() {
         let g = gen::random_connected_weighted(40, 90, 2);
         let config = MstConfig {
-            pa: PaConfig::randomized(5),
+            pa: EngineConfig::new().randomized(5),
         };
         let res = check_against_kruskal(&g, &config);
         assert_eq!(res.edges, reference::kruskal(&g).edges);

@@ -1365,12 +1365,7 @@ impl PaCluster {
         let (shard_groups, _, _) = self.plan(queries);
         shard_groups
             .into_iter()
-            .map(|groups| {
-                groups
-                    .into_iter()
-                    .flat_map(|group| group.indices)
-                    .collect()
-            })
+            .map(|groups| groups.into_iter().flat_map(|group| group.indices).collect())
             .collect()
     }
 }

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use rmo_congest::CostReport;
 use rmo_graph::{Graph, NodeId, Partition};
 
-use rmo_core::{Aggregate, EngineConfig, PaConfig, PaEngine, PaError};
+use rmo_core::{Aggregate, EngineConfig, PaEngine, PaError};
 
 /// Configuration for approximate SSSP.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +33,7 @@ pub struct SsspConfig {
     /// `O(log n / β)` hops.
     pub beta: f64,
     /// PA configuration for quotient-graph relaxations.
-    pub pa: PaConfig,
+    pub pa: EngineConfig,
     /// Seed for the random shifts.
     pub seed: u64,
 }
@@ -42,7 +42,7 @@ impl Default for SsspConfig {
     fn default() -> SsspConfig {
         SsspConfig {
             beta: 0.4,
-            pa: PaConfig::default(),
+            pa: EngineConfig::new(),
             seed: 1,
         }
     }
@@ -70,7 +70,7 @@ pub struct SsspResult {
 /// # Panics
 /// Panics if `β ∉ (0, 1]` or the graph is disconnected/empty.
 pub fn approx_sssp(g: &Graph, source: NodeId, config: &SsspConfig) -> Result<SsspResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(config.pa));
+    let mut engine = PaEngine::new(g, config.pa);
     approx_sssp_with_engine(&mut engine, source, config)
 }
 

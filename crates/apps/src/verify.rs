@@ -8,7 +8,7 @@
 //! Appendix A.2.
 //!
 //! Every verifier comes in two forms: a one-shot wrapper taking
-//! `(g, …, &PaConfig)` that spins up a fresh [`PaEngine`], and a
+//! `(g, …, &EngineConfig)` that spins up a fresh [`PaEngine`], and a
 //! `*_with_engine` form that runs on a caller-held session so that
 //! repeated queries on one network reuse the BFS tree and the cached
 //! per-partition artifacts (the intended shape for serving many
@@ -18,7 +18,7 @@ use rmo_congest::CostReport;
 use rmo_graph::{num::ceil_log2, EdgeId, Graph};
 
 use crate::components::component_labels_with_engine;
-use rmo_core::{EngineConfig, PaConfig, PaEngine, PaError};
+use rmo_core::{EngineConfig, PaEngine, PaError};
 
 /// A verification verdict plus its measured cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,9 +36,9 @@ pub struct Verdict {
 pub fn verify_connected_spanning(
     g: &Graph,
     h_edges: &[EdgeId],
-    config: &PaConfig,
+    config: &EngineConfig,
 ) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+    let mut engine = PaEngine::new(g, *config);
     verify_connected_spanning_with_engine(&mut engine, h_edges)
 }
 
@@ -68,9 +68,9 @@ pub fn verify_connected_spanning_with_engine(
 pub fn verify_spanning_tree(
     g: &Graph,
     h_edges: &[EdgeId],
-    config: &PaConfig,
+    config: &EngineConfig,
 ) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+    let mut engine = PaEngine::new(g, *config);
     verify_spanning_tree_with_engine(&mut engine, h_edges)
 }
 
@@ -98,8 +98,12 @@ pub fn verify_spanning_tree_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_cut(g: &Graph, h_edges: &[EdgeId], config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+pub fn verify_cut(
+    g: &Graph,
+    h_edges: &[EdgeId],
+    config: &EngineConfig,
+) -> Result<Verdict, PaError> {
+    let mut engine = PaEngine::new(g, *config);
     verify_cut_with_engine(&mut engine, h_edges)
 }
 
@@ -135,9 +139,9 @@ pub fn verify_cut_with_engine(
 pub fn verify_bipartite(
     g: &Graph,
     h_edges: &[EdgeId],
-    config: &PaConfig,
+    config: &EngineConfig,
 ) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+    let mut engine = PaEngine::new(g, *config);
     verify_bipartite_with_engine(&mut engine, h_edges)
 }
 
@@ -192,8 +196,12 @@ pub fn verify_bipartite_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_forest(g: &Graph, h_edges: &[EdgeId], config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+pub fn verify_forest(
+    g: &Graph,
+    h_edges: &[EdgeId],
+    config: &EngineConfig,
+) -> Result<Verdict, PaError> {
+    let mut engine = PaEngine::new(g, *config);
     verify_forest_with_engine(&mut engine, h_edges)
 }
 
@@ -236,9 +244,9 @@ pub fn verify_st_connectivity(
     h_edges: &[EdgeId],
     s: usize,
     t: usize,
-    config: &PaConfig,
+    config: &EngineConfig,
 ) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+    let mut engine = PaEngine::new(g, *config);
     verify_st_connectivity_with_engine(&mut engine, h_edges, s, t)
 }
 
@@ -273,8 +281,12 @@ pub fn verify_st_connectivity_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_mst(g: &Graph, h_edges: &[EdgeId], config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+pub fn verify_mst(
+    g: &Graph,
+    h_edges: &[EdgeId],
+    config: &EngineConfig,
+) -> Result<Verdict, PaError> {
+    let mut engine = PaEngine::new(g, *config);
     verify_mst_with_engine(&mut engine, h_edges)
 }
 
@@ -341,8 +353,8 @@ pub fn verify_mst_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_two_edge_connected(g: &Graph, config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
+pub fn verify_two_edge_connected(g: &Graph, config: &EngineConfig) -> Result<Verdict, PaError> {
+    let mut engine = PaEngine::new(g, *config);
     verify_two_edge_connected_with_engine(&mut engine)
 }
 
@@ -374,7 +386,7 @@ mod tests {
     fn spanning_tree_accepted() {
         let g = gen::grid_weighted(5, 5, 2);
         let mst = reference::kruskal(&g);
-        let v = verify_spanning_tree(&g, &mst.edges, &PaConfig::default()).unwrap();
+        let v = verify_spanning_tree(&g, &mst.edges, &EngineConfig::new()).unwrap();
         assert!(v.holds);
     }
 
@@ -383,7 +395,7 @@ mod tests {
         let g = gen::grid_weighted(5, 5, 2);
         let mut edges = reference::kruskal(&g).edges;
         edges.pop();
-        let v = verify_spanning_tree(&g, &edges, &PaConfig::default()).unwrap();
+        let v = verify_spanning_tree(&g, &edges, &EngineConfig::new()).unwrap();
         assert!(!v.holds);
     }
 
@@ -393,7 +405,7 @@ mod tests {
         let mut edges = reference::kruskal(&g).edges;
         let extra = (0..g.m()).find(|e| !edges.contains(e)).unwrap();
         edges.push(extra);
-        let v = verify_spanning_tree(&g, &edges, &PaConfig::default()).unwrap();
+        let v = verify_spanning_tree(&g, &edges, &EngineConfig::new()).unwrap();
         assert!(!v.holds, "n edges cannot be a tree");
     }
 
@@ -402,13 +414,13 @@ mod tests {
         let g = gen::path(10);
         let all: Vec<EdgeId> = (0..g.m()).collect();
         assert!(
-            verify_connected_spanning(&g, &all, &PaConfig::default())
+            verify_connected_spanning(&g, &all, &EngineConfig::new())
                 .unwrap()
                 .holds
         );
         let missing_middle: Vec<EdgeId> = (0..g.m()).filter(|&e| e != 4).collect();
         assert!(
-            !verify_connected_spanning(&g, &missing_middle, &PaConfig::default())
+            !verify_connected_spanning(&g, &missing_middle, &EngineConfig::new())
                 .unwrap()
                 .holds
         );
@@ -419,14 +431,14 @@ mod tests {
         let g = gen::dumbbell(4, 1);
         let bridge = g.edge_between(3, 4).unwrap();
         assert!(
-            verify_cut(&g, &[bridge], &PaConfig::default())
+            verify_cut(&g, &[bridge], &EngineConfig::new())
                 .unwrap()
                 .holds
         );
         // A non-cut: one intra-clique edge.
         let inner = g.edge_between(0, 1).unwrap();
         assert!(
-            !verify_cut(&g, &[inner], &PaConfig::default())
+            !verify_cut(&g, &[inner], &EngineConfig::new())
                 .unwrap()
                 .holds
         );
@@ -438,14 +450,14 @@ mod tests {
         let even = gen::cycle(8);
         let all_even: Vec<EdgeId> = (0..even.m()).collect();
         assert!(
-            verify_bipartite(&even, &all_even, &PaConfig::default())
+            verify_bipartite(&even, &all_even, &EngineConfig::new())
                 .unwrap()
                 .holds
         );
         let odd = gen::cycle(9);
         let all_odd: Vec<EdgeId> = (0..odd.m()).collect();
         assert!(
-            !verify_bipartite(&odd, &all_odd, &PaConfig::default())
+            !verify_bipartite(&odd, &all_odd, &EngineConfig::new())
                 .unwrap()
                 .holds
         );
@@ -456,7 +468,7 @@ mod tests {
         let g = gen::grid(4, 6);
         let mst = reference::kruskal(&g);
         assert!(
-            verify_bipartite(&g, &mst.edges, &PaConfig::default())
+            verify_bipartite(&g, &mst.edges, &EngineConfig::new())
                 .unwrap()
                 .holds
         );
@@ -465,7 +477,7 @@ mod tests {
     #[test]
     fn forest_verification() {
         let g = gen::grid_weighted(5, 5, 1);
-        let cfg = PaConfig::default();
+        let cfg = EngineConfig::new();
         let mst = reference::kruskal(&g).edges;
         assert!(
             verify_forest(&g, &mst, &cfg).unwrap().holds,
@@ -487,7 +499,7 @@ mod tests {
     #[test]
     fn st_connectivity() {
         let g = gen::path(10);
-        let cfg = PaConfig::default();
+        let cfg = EngineConfig::new();
         let left: Vec<EdgeId> = (0..4).collect(); // connects 0..=4
         assert!(verify_st_connectivity(&g, &left, 0, 4, &cfg).unwrap().holds);
         assert!(!verify_st_connectivity(&g, &left, 0, 9, &cfg).unwrap().holds);
@@ -497,7 +509,7 @@ mod tests {
     fn mst_verification_accepts_true_mst() {
         let g = gen::grid_weighted(5, 6, 3);
         let mst = reference::kruskal(&g).edges;
-        assert!(verify_mst(&g, &mst, &PaConfig::default()).unwrap().holds);
+        assert!(verify_mst(&g, &mst, &EngineConfig::new()).unwrap().holds);
     }
 
     #[test]
@@ -536,7 +548,7 @@ mod tests {
             .expect("MST path has a lighter edge than the non-tree edge");
         let mut worse: Vec<EdgeId> = mst.iter().copied().filter(|&e| e != lighter).collect();
         worse.push(non_tree);
-        let verdict = verify_mst(&g, &worse, &PaConfig::default()).unwrap();
+        let verdict = verify_mst(&g, &worse, &EngineConfig::new()).unwrap();
         assert!(!verdict.holds, "swapped-in heavier edge must be detected");
     }
 
@@ -545,12 +557,12 @@ mod tests {
         let g = gen::grid_weighted(4, 4, 1);
         let mut edges = reference::kruskal(&g).edges;
         edges.pop();
-        assert!(!verify_mst(&g, &edges, &PaConfig::default()).unwrap().holds);
+        assert!(!verify_mst(&g, &edges, &EngineConfig::new()).unwrap().holds);
     }
 
     #[test]
     fn two_edge_connectivity() {
-        let cfg = PaConfig::default();
+        let cfg = EngineConfig::new();
         assert!(
             verify_two_edge_connected(&gen::cycle(8), &cfg)
                 .unwrap()

@@ -8,7 +8,7 @@ use rmo_apps::kdom::k_dominating_set;
 use rmo_apps::mst::{pa_mst, MstConfig};
 use rmo_apps::sssp::{approx_sssp, SsspConfig};
 use rmo_apps::{component_labels, ComponentLabels};
-use rmo_core::PaConfig;
+use rmo_core::EngineConfig;
 use rmo_graph::{gen, reference, DisjointSets, EdgeId};
 
 proptest! {
@@ -61,7 +61,7 @@ proptest! {
         let g = gen::random_connected(n, m, seed);
         let h: Vec<EdgeId> = (0..g.m()).filter(|e| e % keep_mod == 0).collect();
         let out: ComponentLabels =
-            component_labels(&g, &h, &PaConfig::default()).expect("solves");
+            component_labels(&g, &h, &EngineConfig::new()).expect("solves");
         let mut dsu = DisjointSets::new(n);
         for &e in &h {
             let (u, v) = g.endpoints(e);

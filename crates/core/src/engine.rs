@@ -22,7 +22,7 @@
 //!   solve, stage 2–4 setup once per distinct partition, and only the
 //!   three wave phases on a cache hit;
 //! * [`EngineStats`] surfaces hit/miss/eviction counters so harness
-//!   experiments and benches can report the savings.
+//!   experiments can report the savings.
 //!
 //! # Quickstart
 //!
@@ -53,9 +53,8 @@ use rmo_congest::{CostReport, Network};
 use rmo_graph::{Graph, Partition, RootedTree};
 
 use crate::aggregate::Aggregate;
-use crate::batch::{batch_on, BatchResult};
 use crate::instance::{PaError, PaInstance};
-use crate::pipeline::{build_artifacts, PaConfig, PipelineArtifacts, ShortcutStrategy};
+use crate::pipeline::{build_artifacts, PipelineArtifacts, ShortcutStrategy};
 use crate::solve::{solve_with, PaResult, SolveScratch, Variant};
 use crate::subparts_det::{deterministic_division, DetDivisionResult};
 
@@ -73,7 +72,7 @@ pub enum DivisionStrategy {
 
 /// Builder-style configuration of a [`PaEngine`] session.
 ///
-/// Subsumes the old `PaConfig` constructors: `EngineConfig::new()` is the
+/// The one configuration of the PA pipeline: `EngineConfig::new()` is the
 /// paper's deterministic headline, [`EngineConfig::randomized`] and
 /// [`EngineConfig::trivial`] switch whole profiles, and the narrow
 /// setters ([`shortcut`](EngineConfig::shortcut),
@@ -171,33 +170,6 @@ impl EngineConfig {
         assert!(capacity > 0, "the artifact cache needs room for one entry");
         self.cache_capacity = capacity;
         self
-    }
-
-    /// The equivalent one-shot [`PaConfig`] (what the legacy pipeline
-    /// entry points consume).
-    pub fn pa(&self) -> PaConfig {
-        PaConfig {
-            variant: self.variant,
-            shortcut: self.shortcut,
-            deterministic_division: self.division == DivisionStrategy::Deterministic,
-            seed: self.seed,
-        }
-    }
-}
-
-impl From<PaConfig> for EngineConfig {
-    fn from(config: PaConfig) -> EngineConfig {
-        EngineConfig {
-            variant: config.variant,
-            shortcut: config.shortcut,
-            division: if config.deterministic_division {
-                DivisionStrategy::Deterministic
-            } else {
-                DivisionStrategy::Randomized
-            },
-            seed: config.seed,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-        }
     }
 }
 
@@ -298,6 +270,15 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
+/// Result of [`PaEngine::solve_batch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchResult {
+    /// `aggregates[i][p]` — aggregate of value-set `i` on part `p`.
+    pub aggregates: Vec<Vec<u64>>,
+    /// Total measured cost of the pipelined batch.
+    pub cost: CostReport,
+}
+
 #[derive(Clone)]
 struct CacheEntry {
     /// The full part vector, to rule out fingerprint collisions.
@@ -323,7 +304,6 @@ struct CacheEntry {
 /// graph it was built against and refuses rehydration onto any other.
 pub struct EngineCore {
     config: EngineConfig,
-    pa: PaConfig,
     net: Network,
     /// Stage 1 (leader election + BFS tree) and its cost, built on first
     /// use so sessions that never need the tree (k-domination's
@@ -390,7 +370,6 @@ impl EngineCore {
         }
         EngineCore {
             config: self.config,
-            pa: self.pa,
             net: self.net.clone(),
             stage1,
             base_charged: true,
@@ -515,13 +494,11 @@ impl<'g> PaEngine<'g> {
         assert!(graph.n() > 0, "PaEngine needs a non-empty graph");
         assert!(graph.is_connected(), "PaEngine needs a connected graph");
         assert!(config.cache_capacity > 0, "cache capacity must be >= 1");
-        let pa = config.pa();
         let net = Network::new(graph, config.seed);
         PaEngine {
             graph,
             core: EngineCore {
                 config,
-                pa,
                 net,
                 stage1: OnceLock::new(),
                 base_charged: false,
@@ -673,7 +650,7 @@ impl<'g> PaEngine<'g> {
         self.core.stats.misses += 1;
         let artifacts = {
             let tree = &self.stage1().0;
-            build_artifacts(inst, &self.core.pa, tree)
+            build_artifacts(inst, &self.core.config, tree)
         };
         if self.core.cache.len() >= self.core.config.cache_capacity {
             if let Some((&lru, _)) = self.core.cache.iter().min_by_key(|(_, e)| e.last_used) {
@@ -791,11 +768,26 @@ impl<'g> PaEngine<'g> {
     /// Panics if the instance's graph topology differs from the engine's.
     pub fn solve_on(&mut self, inst: &PaInstance<'_>, out: &mut PaResult) -> Result<(), PaError> {
         self.assert_same_graph(inst);
+        let extra = self.run_waves(inst, out)?;
+        out.cost += extra;
+        self.core.stats.charged += out.cost;
+        Ok(())
+    }
+
+    /// Runs Algorithm 1 for `inst` on its cached artifacts into `out`
+    /// and returns the setup cost this call owes on top of the waves
+    /// (see [`PaEngine::incremental_cost`]); charging it is the caller's
+    /// job.
+    fn run_waves(
+        &mut self,
+        inst: &PaInstance<'_>,
+        out: &mut PaResult,
+    ) -> Result<CostReport, PaError> {
         self.core.stats.solves += 1;
         let key = self.ensure_artifacts(inst);
         let setup_cost = self.take_pending_setup(key);
         let extra = self.incremental_cost(setup_cost);
-        let variant = self.core.pa.variant;
+        let variant = self.core.config.variant;
         let _ = self.tree(); // force stage 1 before the split borrows below
         let core = &mut self.core;
         // rmo-lint: allow(P1) — ensure_artifacts inserted this key above
@@ -811,19 +803,28 @@ impl<'g> PaEngine<'g> {
             &mut core.scratch,
             out,
         )?;
-        out.cost += extra;
-        core.stats.charged += out.cost;
-        Ok(())
+        Ok(extra)
     }
 
     /// Solves `k` aggregations over one partition with a single pipelined
-    /// wave (see [`crate::batch`]).
+    /// wave.
+    ///
+    /// Applications routinely aggregate many word-sized values over one
+    /// partition (the min-cut sketches run `polylog(n)·poly(1/ε)`
+    /// aggregations; Ghaffari's CDS labels carry `O(1)` values). The
+    /// wave's routes do not depend on the values, so the `k` values
+    /// stream behind each other like the pipelined broadcast primitive
+    /// (`congest::programs::pipeline`, `O(depth + k)` rounds): each of
+    /// the three phases costs `k − 1` extra rounds, and every message
+    /// carries `k` words.
     ///
     /// # Errors
-    /// Propagates [`PaError`]; every value set must have length `n`.
+    /// [`PaError::ValueCountMismatch`] if any value set does not have
+    /// one value per node; otherwise propagates [`PaError`] from instance
+    /// validation and Algorithm 1.
     ///
     /// # Panics
-    /// Panics if `value_sets` is empty or a set has the wrong length.
+    /// Panics if `value_sets` is empty.
     pub fn solve_batch(
         &mut self,
         parts: &Partition,
@@ -831,24 +832,36 @@ impl<'g> PaEngine<'g> {
         agg: Aggregate,
     ) -> Result<BatchResult, PaError> {
         assert!(!value_sets.is_empty(), "batch needs at least one value set");
+        let n = self.graph.n();
+        if let Some(bad) = value_sets.iter().find(|vs| vs.len() != n) {
+            return Err(PaError::ValueCountMismatch {
+                expected: n,
+                got: bad.len(),
+            });
+        }
         let inst =
             PaInstance::from_partition(self.graph, parts.clone(), value_sets[0].clone(), agg)?;
         self.core.stats.batches += 1;
-        self.core.stats.solves += 1;
-        let key = self.ensure_artifacts(&inst);
-        let setup_cost = self.take_pending_setup(key);
-        let extra = self.incremental_cost(setup_cost);
-        let variant = self.core.pa.variant;
-        let entry = &self.core.cache[&key];
-        let mut result = batch_on(
-            &inst,
-            value_sets,
-            &entry.artifacts.setup(self.tree()),
-            variant,
-        )?;
-        result.cost += extra;
-        self.core.stats.charged += result.cost;
-        Ok(result)
+        let mut base = PaResult::default();
+        let extra = self.run_waves(&inst, &mut base)?;
+        let k = value_sets.len();
+        let mut cost = CostReport::with_capacity(
+            base.cost.rounds + 3 * (k - 1),
+            base.cost.messages * k as u64,
+            base.cost.capacity_multiplier,
+        );
+        cost += extra;
+        let aggregates: Vec<Vec<u64>> = value_sets
+            .iter()
+            .map(|vs| {
+                parts
+                    .part_ids()
+                    .map(|p| agg.fold(parts.members(p).iter().map(|&v| vs[v])))
+                    .collect()
+            })
+            .collect();
+        self.core.stats.charged += cost;
+        Ok(BatchResult { aggregates, cost })
     }
 
     /// The Algorithm 6 division of the whole graph with completion
@@ -884,7 +897,6 @@ fn same_topology(a: &Graph, b: &Graph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::solve_pa;
     use rmo_graph::gen;
 
     fn grid_instance() -> (Graph, Partition, Vec<u64>) {
@@ -892,27 +904,6 @@ mod tests {
         let parts = Partition::new(&g, gen::grid_row_partition(6, 8)).unwrap();
         let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 31) % 97).collect();
         (g, parts, values)
-    }
-
-    #[test]
-    fn engine_matches_one_shot_pipeline() {
-        let (g, parts, values) = grid_instance();
-        for config in [
-            EngineConfig::new(),
-            EngineConfig::new().randomized(3),
-            EngineConfig::new().trivial().seed(1),
-        ] {
-            let mut engine = PaEngine::new(&g, config);
-            let inst =
-                PaInstance::from_partition(&g, parts.clone(), values.clone(), Aggregate::Min)
-                    .unwrap();
-            let ours = engine.solve(&parts, &values, Aggregate::Min).unwrap();
-            let legacy = solve_pa(&inst, &config.pa()).unwrap();
-            assert_eq!(ours.aggregates, legacy.aggregates, "{config:?}");
-            assert_eq!(ours.node_values, legacy.node_values);
-            assert_eq!(ours.cost, legacy.cost, "first solve pays full setup");
-            assert_eq!(ours.broadcast_cost, legacy.broadcast_cost);
-        }
     }
 
     #[test]
@@ -1013,6 +1004,68 @@ mod tests {
         assert_eq!(batch.aggregates, again.aggregates);
         assert!(again.cost.rounds < batch.cost.rounds);
         assert_eq!(engine.stats().batches, 2);
+    }
+
+    #[test]
+    fn batch_matches_individual_answers() {
+        let g = gen::grid(6, 6);
+        let parts = Partition::new(&g, gen::grid_row_partition(6, 6)).unwrap();
+        let sets: Vec<Vec<u64>> = (0..5u64)
+            .map(|i| (0..36u64).map(|v| (v * 7 + i * 13) % 97).collect())
+            .collect();
+        let mut engine = PaEngine::new(&g, EngineConfig::new());
+        let batch = engine.solve_batch(&parts, &sets, Aggregate::Max).unwrap();
+        for (i, vs) in sets.iter().enumerate() {
+            let single = engine.solve(&parts, vs, Aggregate::Max).unwrap();
+            assert_eq!(batch.aggregates[i], single.aggregates, "set {i}");
+            for p in parts.part_ids() {
+                let expect = Aggregate::Max.fold(parts.members(p).iter().map(|&v| vs[v]));
+                assert_eq!(batch.aggregates[i][p], expect, "set {i} part {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn batching_beats_sequential_rounds() {
+        let g = gen::grid(5, 20);
+        let parts = Partition::new(&g, gen::grid_row_partition(5, 20)).unwrap();
+        let mut engine = PaEngine::new(&g, EngineConfig::new());
+        let ones = vec![1u64; 100];
+        engine.solve(&parts, &ones, Aggregate::Sum).unwrap(); // pay the setup
+        let single = engine.solve(&parts, &ones, Aggregate::Sum).unwrap();
+        let k = 16usize;
+        let batch = engine
+            .solve_batch(&parts, &vec![ones; k], Aggregate::Sum)
+            .unwrap();
+        assert!(
+            batch.cost.rounds < k * single.cost.rounds,
+            "pipelined {} should beat sequential {}",
+            batch.cost.rounds,
+            k * single.cost.rounds
+        );
+        assert_eq!(batch.cost.messages, single.cost.messages * k as u64);
+    }
+
+    #[test]
+    fn batch_rejects_a_short_later_value_set() {
+        let g = gen::path(4);
+        let parts = Partition::whole(&g).unwrap();
+        let mut engine = PaEngine::new(&g, EngineConfig::new());
+        let err = engine
+            .solve_batch(&parts, &[vec![1; 4], vec![1, 2]], Aggregate::Min)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PaError::ValueCountMismatch {
+                expected: 4,
+                got: 2
+            }
+        );
+        // The engine stays usable after the typed failure.
+        let ok = engine
+            .solve_batch(&parts, &[vec![3; 4], vec![1, 2, 3, 4]], Aggregate::Min)
+            .unwrap();
+        assert_eq!(ok.aggregates, vec![vec![3], vec![1]]);
     }
 
     #[test]
@@ -1197,15 +1250,5 @@ mod tests {
         let line = merged.to_string();
         assert!(line.contains("hits/misses/evictions 1/2/0"), "{line}");
         assert!(line.contains("3 solves"), "{line}");
-    }
-
-    #[test]
-    fn config_roundtrips_through_paconfig() {
-        let cfg = EngineConfig::new().randomized(9).cache_capacity(3);
-        let back: EngineConfig = cfg.pa().into();
-        assert_eq!(back.variant, cfg.variant);
-        assert_eq!(back.shortcut, cfg.shortcut);
-        assert_eq!(back.division, cfg.division);
-        assert_eq!(back.seed, cfg.seed);
     }
 }

@@ -49,14 +49,13 @@
 //! assert_eq!(engine.stats().hits, 1);
 //! ```
 //!
-//! For one-shot solves, [`solve_pa`] still assembles and tears down the
-//! whole pipeline in a single call.
+//! For one-shot solves, [`solve_pa`] is the first solve of a fresh
+//! engine: Theorem 1.2 in a single call.
 
 #![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod baseline;
-pub mod batch;
 pub mod cole_vishkin;
 pub mod engine;
 pub mod instance;
@@ -70,15 +69,11 @@ pub mod subparts_random;
 pub mod verify_block;
 
 pub use aggregate::Aggregate;
-pub use batch::{batch_on, BatchResult};
 pub use engine::{
-    graph_fingerprint, partition_fingerprint, word_fingerprint, DivisionStrategy, EngineConfig,
-    EngineCore, EngineStats, PaEngine,
+    graph_fingerprint, partition_fingerprint, word_fingerprint, BatchResult, DivisionStrategy,
+    EngineConfig, EngineCore, EngineStats, PaEngine,
 };
 pub use instance::{PaError, PaInstance};
-pub use pipeline::{
-    build_artifacts, build_pipeline, solve_pa, PaConfig, PaPipeline, PipelineArtifacts,
-    ShortcutStrategy,
-};
+pub use pipeline::{build_artifacts, solve_pa, PipelineArtifacts, ShortcutStrategy};
 pub use solve::{solve_on, solve_with, PaResult, PaSetup, SolveScratch, Variant, WavePlan};
 pub use subparts::SubPartDivision;

@@ -1,13 +1,13 @@
 //! Corollary A.2 — approximate minimum-weight connected dominating sets.
 
 use rmo_apps::cds::{approx_mwcds, is_connected_dominating_set};
-use rmo_core::PaConfig;
+use rmo_core::EngineConfig;
 use rmo_graph::gen;
 
 use crate::util::print_table;
 
 pub fn run() {
-    let cfg = PaConfig::default();
+    let cfg = EngineConfig::new();
     let mut rows = Vec::new();
     let cases: Vec<(&str, rmo_graph::Graph)> = vec![
         ("star", gen::star(30)),

@@ -2,7 +2,7 @@
 //! the Kruskal reference, across families and sizes.
 
 use rmo_apps::mst::{naive_mst, pa_mst, MstConfig};
-use rmo_core::PaConfig;
+use rmo_core::EngineConfig;
 use rmo_graph::{gen, num::isqrt, reference, two_sweep_diameter_lower_bound};
 
 use crate::util::{print_table, ratio};
@@ -66,7 +66,7 @@ pub fn run(quick: bool) {
         &rows,
     );
     let cfg = MstConfig {
-        pa: PaConfig::randomized(7),
+        pa: EngineConfig::new().randomized(7),
     };
     let g = gen::random_connected_weighted(100, 300, 9);
     let r = pa_mst(&g, &cfg).expect("randomized MST solves");

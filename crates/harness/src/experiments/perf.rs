@@ -4,10 +4,11 @@
 //! CONGEST primitives (BFS, tree casts, pipelining, election), the
 //! Table 2 PA pipeline end-to-end, the isolated pipeline stages
 //! (stage-1 tree, divisions, shortcuts, tree routing, warm engine
-//! solves), and the `PaCluster` serving path — and reports wall time
-//! plus exact round/message counts per entry. Wall time is the best of
-//! [`ITERATIONS`] runs (the counts are identical across runs; only the
-//! clock varies).
+//! solves), Figure 2's apex grid (prior-work block aggregation vs
+//! sub-part PA), Figure 5's Algorithm 7 doubling, and the `PaCluster`
+//! serving path — and reports wall time plus exact round/message counts
+//! per entry. Wall time is the best of [`ITERATIONS`] runs (the counts
+//! are identical across runs; only the clock varies).
 //!
 //! With `--json` the suite prints a single JSON object (schema
 //! `rmo-perf/2`) to stdout instead of the markdown table, so CI and the
@@ -35,11 +36,16 @@ use rmo_congest::programs::convergecast::run_tree_convergecast;
 use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::programs::pipeline::run_pipeline_broadcast;
 use rmo_congest::{CostReport, DowncastJob, Network, TreeRouter, UpcastJob};
+use rmo_core::baseline::naive_block_pa;
 use rmo_core::subparts_det::deterministic_division;
-use rmo_core::{solve_pa, Aggregate, EngineConfig, PaConfig, PaEngine, PaInstance};
-use rmo_graph::gen;
-use rmo_graph::NodeId;
+use rmo_core::subparts_random::random_division;
+use rmo_core::{
+    solve_on, solve_pa, Aggregate, EngineConfig, PaEngine, PaInstance, PaSetup, Variant,
+};
+use rmo_graph::{bfs_tree, gen, NodeId, Partition};
+use rmo_shortcut::alg7::construct_on_path;
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
+use rmo_shortcut::trivial::trivial_shortcut_with_threshold;
 
 use super::families;
 use crate::util::print_table;
@@ -200,7 +206,7 @@ fn run_suite(quick: bool) -> Vec<Entry> {
         out.push(entry(
             name,
             || {
-                solve_pa(&inst, &PaConfig::default())
+                solve_pa(&inst, &EngineConfig::new())
                     .expect("PA solves")
                     .cost
             },
@@ -320,6 +326,76 @@ fn run_suite(quick: bool) -> Vec<Entry> {
             }
             total
         },
+        None,
+    ));
+
+    // --- Figure 2: the apex-grid bad example, prior-work block
+    // aggregation vs Algorithm 1 over a sub-part division, on the same
+    // tree, whole-tree shortcut and leaders. ---
+    let (depth, width) = if quick { (16, 64) } else { (32, 128) };
+    let g_apex = gen::grid_with_apex(depth, width);
+    let apex_parts = Partition::new(&g_apex, gen::grid_row_partition_with_apex(depth, width))
+        .expect("rows of an apex grid are connected"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
+    let apex_values: Vec<u64> = (0..g_apex.n() as u64).collect();
+    let apex_inst = PaInstance::from_partition(&g_apex, apex_parts, apex_values, Aggregate::Min)
+        .expect("valid instance"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
+    let apex_parts = apex_inst.partition();
+    let (apex_tree, _) = bfs_tree(&g_apex, depth * width);
+    let apex_sc = trivial_shortcut_with_threshold(&g_apex, &apex_tree, apex_parts, 1);
+    let apex_leaders: Vec<NodeId> = apex_parts
+        .part_ids()
+        .map(|p| apex_parts.members(p)[0])
+        .collect();
+    let apex_div = random_division(
+        &g_apex,
+        apex_parts,
+        &apex_leaders,
+        apex_tree.depth().max(1),
+        7,
+    )
+    .division;
+    out.push(entry(
+        "figure2/naive_blocks",
+        || {
+            naive_block_pa(
+                &apex_inst,
+                &apex_tree,
+                &apex_sc,
+                &apex_leaders,
+                Variant::Deterministic,
+                1,
+            )
+            .expect("naive PA solves") // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
+            .cost
+        },
+        None,
+    ));
+    let apex_setup = PaSetup {
+        tree: &apex_tree,
+        shortcut: &apex_sc,
+        division: &apex_div,
+        leaders: &apex_leaders,
+        block_budget: 1,
+    };
+    out.push(entry(
+        "figure2/subpart_pa",
+        || {
+            solve_on(&apex_inst, &apex_setup, Variant::Deterministic)
+                .expect("sub-part PA solves") // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
+                .cost
+        },
+        None,
+    ));
+
+    // --- Figure 5: Algorithm 7's doubling construction on a path, one
+    // part entering at every position. ---
+    let alg7_len = if quick { 1024 } else { 4096 };
+    let alg7_nodes: Vec<NodeId> = (0..alg7_len).collect();
+    let alg7_edges: Vec<usize> = (0..alg7_len - 1).collect();
+    let alg7_requests: Vec<Vec<usize>> = (0..alg7_len).map(|p| vec![p]).collect();
+    out.push(entry(
+        "figure5/alg7_doubling",
+        || construct_on_path(&alg7_nodes, &alg7_edges, &alg7_requests, 8).cost,
         None,
     ));
 

@@ -6,14 +6,14 @@ use rmo_apps::verify::{
     verify_bipartite, verify_connected_spanning, verify_cut, verify_forest, verify_spanning_tree,
     verify_st_connectivity, verify_two_edge_connected,
 };
-use rmo_core::PaConfig;
+use rmo_core::EngineConfig;
 use rmo_graph::{gen, reference, EdgeId};
 
 use crate::util::print_table;
 
 pub fn run() {
     let g = gen::grid_weighted(8, 8, 2);
-    let cfg = PaConfig::default();
+    let cfg = EngineConfig::new();
     let mst = reference::kruskal(&g).edges;
     let mut broken = mst.clone();
     broken.pop();

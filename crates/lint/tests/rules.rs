@@ -76,7 +76,7 @@ fn d3_fires_on_wall_clock_and_thread_identity() {
 
 #[test]
 fn d3_exempts_harness_bench_and_test_code() {
-    for path in [HARNESS_PATH, "crates/bench/src/fixture.rs", TEST_PATH] {
+    for path in [HARNESS_PATH, "crates/core/benches/fixture.rs", TEST_PATH] {
         let findings = lint_source(path, include_str!("../fixtures/bad_d3.rs"));
         assert!(
             !rules_of(&findings).contains(&"D3"),

@@ -10,7 +10,7 @@
 use rmo::apps::mincut::{approx_min_cut, MinCutConfig};
 use rmo::apps::sssp::{approx_sssp, SsspConfig};
 use rmo::apps::verify::verify_spanning_tree;
-use rmo::core::PaConfig;
+use rmo::core::EngineConfig;
 use rmo::graph::{gen, reference};
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
 
     // 3. Overlay audit: is the configured control overlay a spanning tree?
     let overlay = reference::kruskal(&g).edges;
-    let verdict = verify_spanning_tree(&g, &overlay, &PaConfig::default()).expect("verifies");
+    let verdict = verify_spanning_tree(&g, &overlay, &EngineConfig::new()).expect("verifies");
     println!(
         "overlay audit: spanning tree = {} ({} rounds / {} messages)",
         verdict.holds, verdict.cost.rounds, verdict.cost.messages

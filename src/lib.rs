@@ -47,8 +47,8 @@
 //! assert!(again.cost.rounds < result.cost.rounds);
 //! ```
 //!
-//! `rmo::core::solve_pa` remains as the one-shot entry point that
-//! assembles and tears down the pipeline in a single call.
+//! `rmo::core::solve_pa` is the one-shot entry point: the first solve of
+//! a fresh engine, Theorem 1.2 in a single call.
 
 #![forbid(unsafe_code)]
 

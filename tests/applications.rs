@@ -8,7 +8,7 @@ use rmo::apps::mst::{naive_mst, pa_mst, MstConfig};
 use rmo::apps::sssp::{approx_sssp, SsspConfig};
 use rmo::apps::verify::{verify_connected_spanning, verify_cut, verify_spanning_tree};
 use rmo::apps::{component_labels, ComponentLabels};
-use rmo::core::PaConfig;
+use rmo::core::EngineConfig;
 use rmo::graph::{gen, reference, DisjointSets, EdgeId};
 
 #[test]
@@ -121,7 +121,7 @@ fn component_labels_match_dsu() {
     let g = gen::gnp_connected(60, 0.08, 2);
     // H = every third edge.
     let h: Vec<EdgeId> = (0..g.m()).filter(|e| e % 3 == 0).collect();
-    let out: ComponentLabels = component_labels(&g, &h, &PaConfig::default()).unwrap();
+    let out: ComponentLabels = component_labels(&g, &h, &EngineConfig::new()).unwrap();
     let mut dsu = DisjointSets::new(g.n());
     for &e in &h {
         let (u, v) = g.endpoints(e);
@@ -141,7 +141,7 @@ fn component_labels_match_dsu() {
 #[test]
 fn verification_suite_on_planted_instances() {
     let g = gen::grid_weighted(6, 6, 4);
-    let cfg = PaConfig::default();
+    let cfg = EngineConfig::new();
     let mst = reference::kruskal(&g).edges;
     assert!(verify_spanning_tree(&g, &mst, &cfg).unwrap().holds);
     let with_extra: Vec<EdgeId> = {
@@ -181,7 +181,7 @@ fn cds_valid_and_modest_on_structures() {
     ];
     for g in cases {
         let w: Vec<u64> = (0..g.n() as u64).map(|v| 1 + v % 5).collect();
-        let res = approx_mwcds(&g, &w, &PaConfig::default()).unwrap();
+        let res = approx_mwcds(&g, &w, &EngineConfig::new()).unwrap();
         assert!(is_connected_dominating_set(&g, &res.set));
         assert!(res.weight > 0);
     }

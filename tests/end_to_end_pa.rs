@@ -1,31 +1,29 @@
 //! End-to-end Part-Wise Aggregation across crates: every pipeline
 //! configuration, on every graph family, against the centralized fold.
 
-use rmo::core::{solve_pa, Aggregate, PaConfig, PaInstance, ShortcutStrategy, Variant};
+use rmo::core::{
+    solve_pa, Aggregate, DivisionStrategy, EngineConfig, PaInstance, ShortcutStrategy,
+};
 use rmo::graph::{gen, Partition};
 
-fn all_configs() -> Vec<(&'static str, PaConfig)> {
+fn all_configs() -> Vec<(&'static str, EngineConfig)> {
     vec![
-        ("default-det", PaConfig::default()),
-        ("randomized", PaConfig::randomized(17)),
-        ("trivial", PaConfig::trivial(3)),
+        ("default-det", EngineConfig::new()),
+        ("randomized", EngineConfig::new().randomized(17)),
+        ("trivial", EngineConfig::new().trivial().seed(3)),
         (
             "det-wave-rand-shortcut",
-            PaConfig {
-                variant: Variant::Deterministic,
-                shortcut: ShortcutStrategy::Randomized,
-                deterministic_division: false,
-                seed: 9,
-            },
+            EngineConfig::new()
+                .shortcut(ShortcutStrategy::Randomized)
+                .division(DivisionStrategy::Randomized)
+                .seed(9),
         ),
         (
             "rand-wave-det-shortcut",
-            PaConfig {
-                variant: Variant::Randomized { seed: 4 },
-                shortcut: ShortcutStrategy::Deterministic,
-                deterministic_division: true,
-                seed: 4,
-            },
+            EngineConfig::new()
+                .randomized(4)
+                .shortcut(ShortcutStrategy::Deterministic)
+                .division(DivisionStrategy::Deterministic),
         ),
     ]
 }

@@ -1,13 +1,16 @@
-//! `PaEngine` session semantics, cross-crate: engine results must
-//! bit-match the legacy one-shot `solve_pa` pipeline, repeated calls must
-//! be served from the artifact cache, and consecutive *application* calls
-//! on one graph must reuse the session's BFS tree (the second call's
-//! setup is strictly cheaper than the first's).
+//! `PaEngine` session semantics, cross-crate: a fresh engine's first
+//! solve must cost exactly its independently composed stages, repeated
+//! calls must be served from the artifact cache, and consecutive
+//! *application* calls on one graph must reuse the session's BFS tree
+//! (the second call's setup is strictly cheaper than the first's).
 
 use rmo::apps::components::component_labels_with_engine;
 use rmo::apps::mst::{pa_mst, pa_mst_with_engine};
 use rmo::apps::verify::{verify_mst_with_engine, verify_spanning_tree_with_engine};
-use rmo::core::{solve_pa, Aggregate, EngineConfig, PaEngine};
+use rmo::congest::programs::bfs::run_bfs;
+use rmo::congest::programs::leader::run_leader_election;
+use rmo::congest::Network;
+use rmo::core::{build_artifacts, solve_on, Aggregate, EngineConfig, PaEngine, PaInstance};
 use rmo::graph::{gen, Graph, Partition};
 
 /// Every existing end-to-end test topology, as (name, graph, partition).
@@ -29,31 +32,47 @@ fn topologies() -> Vec<(&'static str, Graph, Partition)> {
 }
 
 #[test]
-fn engine_bit_matches_legacy_solve_pa_everywhere() {
+fn first_solve_costs_the_sum_of_independently_built_stages() {
     for (name, g, parts) in topologies() {
         let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 31) % 97).collect();
+        let inst =
+            PaInstance::from_partition(&g, parts.clone(), values.clone(), Aggregate::Min).unwrap();
         for config in [
             EngineConfig::new(),
             EngineConfig::new().randomized(3),
             EngineConfig::new().trivial().seed(1),
         ] {
-            let mut engine = PaEngine::new(&g, config);
-            let ours = engine.solve(&parts, &values, Aggregate::Min).unwrap();
-            let inst = rmo::core::PaInstance::from_partition(
-                &g,
-                parts.clone(),
-                values.clone(),
-                Aggregate::Min,
-            )
-            .unwrap();
-            let legacy = solve_pa(&inst, &config.pa()).unwrap();
-            assert_eq!(ours.aggregates, legacy.aggregates, "{name} {config:?}");
-            assert_eq!(ours.node_values, legacy.node_values, "{name} {config:?}");
-            assert_eq!(ours.cost, legacy.cost, "{name} {config:?}");
+            // Stage 1 on its own network, stages 2–4 on that tree, then
+            // Algorithm 1 through the free entry point.
+            let net = Network::new(&g, config.seed);
+            let (root, _, elect) = run_leader_election(&g, &net).unwrap();
+            let (tree, _, bfs) = run_bfs(&g, &net, root).unwrap();
+            let artifacts = build_artifacts(&inst, &config, &tree);
+            let wave = solve_on(&inst, &artifacts.setup(&tree), config.variant).unwrap();
+
+            let ours = PaEngine::new(&g, config)
+                .solve(&parts, &values, Aggregate::Min)
+                .unwrap();
             assert_eq!(
-                ours.iterations_per_part, legacy.iterations_per_part,
+                ours.cost,
+                wave.cost + artifacts.setup_cost + elect + bfs,
                 "{name} {config:?}"
             );
+            assert_eq!(
+                ours.broadcast_cost, wave.broadcast_cost,
+                "{name} {config:?}"
+            );
+            assert_eq!(
+                ours.iterations_per_part, wave.iterations_per_part,
+                "{name} {config:?}"
+            );
+            for p in parts.part_ids() {
+                let fold = Aggregate::Min.fold(parts.members(p).iter().map(|&v| values[v]));
+                assert_eq!(ours.aggregates[p], fold, "{name} {config:?} part {p}");
+                for &v in parts.members(p) {
+                    assert_eq!(ours.value_at(v), fold, "{name} {config:?} node {v}");
+                }
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use rmo::core::{solve_pa, Aggregate, PaConfig, PaInstance};
+use rmo::core::{solve_pa, Aggregate, EngineConfig, PaInstance};
 use rmo::graph::gen;
 
 /// Strategy: a connected graph described by (n, extra edges, seed).
@@ -40,7 +40,7 @@ proptest! {
             .map(|v| v.wrapping_mul(values_seed.wrapping_mul(2654435761) | 1) % 100_000)
             .collect();
         let inst = PaInstance::from_partition(&g, parts, values, f).unwrap();
-        let cfg = if det { PaConfig::default() } else { PaConfig::randomized(seed) };
+        let cfg = if det { EngineConfig::new() } else { EngineConfig::new().randomized(seed) };
         let res = solve_pa(&inst, &cfg).unwrap();
         for p in inst.partition().part_ids() {
             prop_assert_eq!(res.aggregates[p], inst.reference_aggregate(p));
@@ -65,8 +65,8 @@ proptest! {
         let parts = gen::random_connected_partition(&g, parts_target, seed);
         let values: Vec<u64> = (0..n as u64).collect();
         let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Sum).unwrap();
-        let a = solve_pa(&inst, &PaConfig::default()).unwrap();
-        let b = solve_pa(&inst, &PaConfig::default()).unwrap();
+        let a = solve_pa(&inst, &EngineConfig::new()).unwrap();
+        let b = solve_pa(&inst, &EngineConfig::new()).unwrap();
         prop_assert_eq!(a.cost, b.cost);
         prop_assert_eq!(a.aggregates, b.aggregates);
     }

@@ -193,6 +193,9 @@ fn harness_quick_perf_emits_valid_json() {
         "pipeline/shortcuts",
         "pipeline/routing",
         "pipeline/warm_solve",
+        "figure2/naive_blocks",
+        "figure2/subpart_pa",
+        "figure5/alg7_doubling",
         "serve/mixed_sequential",
     ] {
         assert!(
