@@ -907,6 +907,40 @@ mod tests {
     }
 
     #[test]
+    fn engine_matches_one_shot_pipeline() {
+        // The one-shot pipeline composed by hand: election and BFS on a
+        // fresh network, the stage 2–4 artifacts on that tree, then the
+        // free Algorithm 1 entry point.
+        let (g, parts, values) = grid_instance();
+        let inst =
+            PaInstance::from_partition(&g, parts.clone(), values.clone(), Aggregate::Min).unwrap();
+        for config in [
+            EngineConfig::new(),
+            EngineConfig::new().randomized(3),
+            EngineConfig::new().trivial().seed(1),
+        ] {
+            let net = Network::new(&g, config.seed);
+            let (root, _, elect) = run_leader_election(&g, &net).unwrap();
+            let (tree, _, bfs) = run_bfs(&g, &net, root).unwrap();
+            let artifacts = build_artifacts(&inst, &config, &tree);
+            let one_shot =
+                crate::solve::solve_on(&inst, &artifacts.setup(&tree), config.variant).unwrap();
+
+            let ours = PaEngine::new(&g, config)
+                .solve(&parts, &values, Aggregate::Min)
+                .unwrap();
+            assert_eq!(ours.aggregates, one_shot.aggregates, "{config:?}");
+            assert_eq!(ours.node_values, one_shot.node_values, "{config:?}");
+            assert_eq!(
+                ours.cost,
+                one_shot.cost + artifacts.setup_cost + elect + bfs,
+                "first solve pays full setup"
+            );
+            assert_eq!(ours.broadcast_cost, one_shot.broadcast_cost);
+        }
+    }
+
+    #[test]
     fn cache_hit_skips_setup() {
         let (g, parts, values) = grid_instance();
         let mut engine = PaEngine::new(&g, EngineConfig::new());

@@ -32,7 +32,7 @@ fn topologies() -> Vec<(&'static str, Graph, Partition)> {
 }
 
 #[test]
-fn first_solve_costs_the_sum_of_independently_built_stages() {
+fn engine_bit_matches_legacy_solve_pa_everywhere() {
     for (name, g, parts) in topologies() {
         let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 31) % 97).collect();
         let inst =
@@ -42,8 +42,9 @@ fn first_solve_costs_the_sum_of_independently_built_stages() {
             EngineConfig::new().randomized(3),
             EngineConfig::new().trivial().seed(1),
         ] {
-            // Stage 1 on its own network, stages 2–4 on that tree, then
-            // Algorithm 1 through the free entry point.
+            // The legacy one-shot pipeline, composed by hand: stage 1 on
+            // its own network, stages 2–4 on that tree, then Algorithm 1
+            // through the free entry point.
             let net = Network::new(&g, config.seed);
             let (root, _, elect) = run_leader_election(&g, &net).unwrap();
             let (tree, _, bfs) = run_bfs(&g, &net, root).unwrap();
@@ -62,6 +63,8 @@ fn first_solve_costs_the_sum_of_independently_built_stages() {
                 ours.broadcast_cost, wave.broadcast_cost,
                 "{name} {config:?}"
             );
+            assert_eq!(ours.aggregates, wave.aggregates, "{name} {config:?}");
+            assert_eq!(ours.node_values, wave.node_values, "{name} {config:?}");
             assert_eq!(
                 ours.iterations_per_part, wave.iterations_per_part,
                 "{name} {config:?}"
